@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "core/messages.h"
 #include "net/payload_pool.h"
 #include "sg/conflict_tracker.h"
+#include "sg/correctness.h"
 #include "sg/regular_cycle.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -243,6 +245,79 @@ void BM_RegularCycleDetection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * txns);
 }
 BENCHMARK(BM_RegularCycleDetection)->Arg(100)->Arg(500);
+
+// Per-site conflict histories shaped like a bulk uncontended run: 4 sites
+// x 100k zipf(0.8) keys, each global touching 2 sites (4 ops each) with a
+// little skew between its two subtransactions, one committed single-site
+// local per global, and 20% of globals compensated a few slots later. The
+// global SG is near-serial (mostly singleton SCCs), the shape on which the
+// §5 analysis must stay linear.
+std::vector<std::unique_ptr<sg::ConflictTracker>> BulkHistory(int globals) {
+  constexpr int kSites = 4;
+  struct Access {
+    int time;
+    sg::NodeRef node;
+    DataKey key;
+    bool is_write;
+  };
+  Rng rng(29);
+  const ZipfGenerator zipf(100000, 0.8);
+  std::vector<std::vector<Access>> per_site(kSites);
+  auto subtxn = [&](int time, sg::NodeRef node, SiteId site, int ops) {
+    for (int op = 0; op < ops; ++op) {
+      per_site[site].push_back({time, node, zipf.Sample(rng),
+                                rng.Bernoulli(0.5)});
+    }
+  };
+  for (int g = 1; g <= globals; ++g) {
+    const auto first = static_cast<SiteId>(rng.Uniform(0, kSites - 1));
+    const auto second = static_cast<SiteId>(
+        (first + rng.Uniform(1, kSites - 1)) % kSites);
+    const auto id = static_cast<TxnId>(g);
+    const int time = 4 * g;
+    subtxn(time, sg::GlobalNode(id), first, 4);
+    subtxn(time + static_cast<int>(rng.Uniform(0, 6)), sg::GlobalNode(id),
+           second, 4);
+    if (rng.Bernoulli(0.2)) {
+      subtxn(time + 8, sg::CompNode(id), first, 4);
+      subtxn(time + 8, sg::CompNode(id), second, 4);
+    }
+    subtxn(time + 2, sg::LocalNode(1000000 + id),
+           static_cast<SiteId>(rng.Uniform(0, kSites - 1)), 3);
+  }
+  std::vector<std::unique_ptr<sg::ConflictTracker>> trackers;
+  for (SiteId site = 0; site < kSites; ++site) {
+    auto tracker = std::make_unique<sg::ConflictTracker>(site);
+    std::stable_sort(per_site[site].begin(), per_site[site].end(),
+                     [](const Access& a, const Access& b) {
+                       return a.time < b.time;
+                     });
+    for (const Access& access : per_site[site]) {
+      tracker->RecordAccess(access.node, access.key, access.is_write);
+      if (access.node.kind == TxnKind::kLocal) {
+        tracker->MarkLocalCommitted(access.node.id);
+      }
+    }
+    trackers.push_back(std::move(tracker));
+  }
+  return trackers;
+}
+
+void BM_AnalyzeHistory(benchmark::State& state) {
+  const int globals = static_cast<int>(state.range(0));
+  const auto trackers = BulkHistory(globals);
+  std::vector<const sg::ConflictTracker*> sites;
+  for (const auto& tracker : trackers) sites.push_back(tracker.get());
+  for (auto _ : state) {
+    const sg::CorrectnessReport report = sg::AnalyzeHistory(sites);
+    benchmark::DoNotOptimize(report.correct);
+  }
+  state.SetItemsProcessed(state.iterations() * globals);
+}
+BENCHMARK(BM_AnalyzeHistory)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CompatibleCheckP1(benchmark::State& state) {
   core::TransMarks tm;

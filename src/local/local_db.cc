@@ -26,8 +26,7 @@ LocalDb::LocalDb(sim::Simulator* simulator, Options options)
       options_(options),
       rng_(options.seed ^ (static_cast<std::uint64_t>(options.site) * 7919 +
                            0x5bd1e995ULL)),
-      locks_(std::make_unique<lock::LockManager>(simulator,
-                                                 LockOptionsFor(options))),
+      locks_(simulator, LockOptionsFor(options)),
       tracker_(options.site) {
   O2PC_CHECK(simulator != nullptr);
 }
@@ -104,10 +103,10 @@ void LocalDb::Execute(TxnId id, const Operation& op, OpCallback callback) {
     const Duration bound = options_.lock_wait_timeout +
                            rng_.Uniform(0, options_.lock_wait_timeout);
     *timeout_event = simulator_->Schedule(bound, [this, id] {
-      locks_->CancelWaits(id, Status::Deadlock("lock wait timeout"));
+      locks_.CancelWaits(id, Status::Deadlock("lock wait timeout"));
     });
   }
-  locks_->Acquire(
+  locks_.Acquire(
       id, op.key, mode,
       [this, id, op, timeout_event,
        cb = std::move(callback)](const Status& status) {
@@ -243,7 +242,7 @@ void LocalDb::CommitLocal(TxnId id) {
   }
   FlushSgRecords(rec);
   if (rec.kind == TxnKind::kLocal) tracker_.MarkLocalCommitted(id);
-  locks_->ReleaseAll(id);
+  locks_.ReleaseAll(id);
   rec.state = LocalTxnState::kCommitted;
 }
 
@@ -251,14 +250,14 @@ void LocalDb::AbortLocal(TxnId id) {
   LocalTxnRec& rec = Rec(id);
   O2PC_CHECK(rec.state == LocalTxnState::kActive)
       << "AbortLocal on " << LocalTxnStateName(rec.state);
-  locks_->CancelWaits(id, Status::Aborted("txn aborting"));
+  locks_.CancelWaits(id, Status::Aborted("txn aborting"));
   // Exact restore: an aborted local (or CT attempt) leaves no SG trace.
   storage::RollbackTxn(wal_, table_, id, storage::WriterTag{});
   rec.accesses.clear();
   rec.reads_from.clear();
   rec.compensation_log.clear();
   rec.deferred_real_actions.clear();
-  locks_->ReleaseAll(id);
+  locks_.ReleaseAll(id);
   rec.state = LocalTxnState::kAborted;
 }
 
@@ -289,7 +288,7 @@ void LocalDb::PrepareAndReleaseShared(TxnId id, SiteId coordinator,
   // Journal the prepared transition before the shared-lock releases it
   // permits: only exclusive locks are pinned until the DECISION.
   O2PC_TRACE(kPrepare, options_.site, rec.global_id, id);
-  locks_->ReleaseShared(id);
+  locks_.ReleaseShared(id);
 }
 
 void LocalDb::LocallyCommit(TxnId id, SiteId coordinator,
@@ -310,7 +309,7 @@ void LocalDb::LocallyCommit(TxnId id, SiteId coordinator,
     wal_.Append(std::move(r));
   }
   FlushSgRecords(rec);
-  locks_->ReleaseAll(id);
+  locks_.ReleaseAll(id);
   // Journaled after the releases: at this instant the subtxn holds nothing
   // (the O2PC early-release invariant the trace checker replays).
   O2PC_TRACE(kLocalCommit, options_.site, rec.global_id, id);
@@ -345,7 +344,7 @@ std::vector<Operation> LocalDb::FinalizeCommit(TxnId id) {
   std::vector<Operation> actions = std::move(rec.deferred_real_actions);
   rec.deferred_real_actions.clear();
   real_actions_performed_ += actions.size();
-  locks_->ReleaseAll(id);
+  locks_.ReleaseAll(id);
   O2PC_TRACE(kFinalCommit, options_.site, rec.global_id, id);
   rec.state = LocalTxnState::kCommitted;
   return actions;
@@ -357,7 +356,7 @@ void LocalDb::RollbackSubtxn(TxnId id) {
   O2PC_CHECK(rec.state == LocalTxnState::kActive ||
              rec.state == LocalTxnState::kPrepared)
       << "RollbackSubtxn on " << LocalTxnStateName(rec.state);
-  locks_->CancelWaits(id, Status::Aborted("subtxn rolling back"));
+  locks_.CancelWaits(id, Status::Aborted("subtxn rolling back"));
   // The forward accesses stay in the SG (aborted global transactions are SG
   // nodes, per §5). The undo, however, leaves no trace: this subtransaction
   // never locally committed, so its exclusive locks covered every written
@@ -372,7 +371,7 @@ void LocalDb::RollbackSubtxn(TxnId id) {
   storage::RollbackTxn(wal_, table_, id, storage::WriterTag{});
   rec.compensation_log.clear();
   rec.deferred_real_actions.clear();
-  locks_->ReleaseAll(id);
+  locks_.ReleaseAll(id);
   O2PC_TRACE(kRollback, options_.site, rec.global_id, id);
   rec.state = LocalTxnState::kAborted;
 }
@@ -449,9 +448,8 @@ std::vector<LocalDb::PendingExposed> LocalDb::PendingPreparedSubtxns() const {
 
 std::vector<TxnId> LocalDb::Crash() {
   ++epoch_;
-  // Volatile state is gone: fresh lock table.
-  locks_ = std::make_unique<lock::LockManager>(simulator_,
-                                               LockOptionsFor(options_));
+  // Volatile state is gone: empty lock table (its counters carry over).
+  locks_.DropLockTable();
 
   // Survivors, per the durable log.
   std::set<TxnId> prepared;
@@ -491,7 +489,7 @@ std::vector<TxnId> LocalDb::Crash() {
   // (recovery locks) so the 2PC promise holds across the crash.
   for (TxnId id : prepared) {
     for (const storage::LogRecord& update : wal_.TxnUpdates(id)) {
-      locks_->Acquire(id, update.key, lock::LockMode::kExclusive,
+      locks_.Acquire(id, update.key, lock::LockMode::kExclusive,
                       [](const Status&) {});
     }
   }

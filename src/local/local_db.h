@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -191,8 +190,8 @@ class LocalDb {
   SiteId site() const { return options_.site; }
   const storage::Table& table() const { return table_; }
   const storage::Wal& wal() const { return wal_; }
-  lock::LockManager& lock_manager() { return *locks_; }
-  const lock::LockManager& lock_manager() const { return *locks_; }
+  lock::LockManager& lock_manager() { return locks_; }
+  const lock::LockManager& lock_manager() const { return locks_; }
   sg::ConflictTracker& tracker() { return tracker_; }
   const sg::ConflictTracker& tracker() const { return tracker_; }
 
@@ -217,8 +216,8 @@ class LocalDb {
   Rng rng_;
   storage::Table table_;
   storage::Wal wal_;
-  /// Recreated on Crash() — lock state is volatile.
-  std::unique_ptr<lock::LockManager> locks_;
+  /// Emptied on Crash() — lock state is volatile; its LockStats are not.
+  lock::LockManager locks_;
   sg::ConflictTracker tracker_;
   std::map<TxnId, LocalTxnRec> txns_;
   std::uint64_t real_actions_performed_ = 0;

@@ -31,10 +31,7 @@ LockManager::LockManager(sim::Simulator* simulator, Options options)
 }
 
 void LockManager::ResetForRun() {
-  queues_.clear();
-  held_.clear();
-  waiting_on_.clear();
-  waits_for_.ResetForRun();
+  DropLockTable();
   stats_.acquires = 0;
   stats_.immediate_grants = 0;
   stats_.waits = 0;
@@ -43,6 +40,13 @@ void LockManager::ResetForRun() {
   stats_.exclusive_hold.clear();
   stats_.shared_hold.clear();
   stats_.wait_time.clear();
+}
+
+void LockManager::DropLockTable() {
+  queues_.clear();
+  held_.clear();
+  waiting_on_.clear();
+  waits_for_.ResetForRun();
 }
 
 void LockManager::Acquire(TxnId txn, DataKey key, LockMode mode,

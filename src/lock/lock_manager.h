@@ -112,6 +112,12 @@ class LockManager {
   /// fires callbacks.
   void ResetForRun();
 
+  /// Drops the volatile lock table — every queue, holder, waiter and
+  /// waits-for edge — as a site crash does, without firing any waiter's
+  /// callback. LockStats are kept, so a site's counters and samples span
+  /// the whole run across crashes.
+  void DropLockTable();
+
   /// True if `txn` has a request waiting in some queue.
   bool IsWaiting(TxnId txn) const;
 

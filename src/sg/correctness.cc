@@ -48,9 +48,8 @@ CorrectnessReport AnalyzeHistory(
   }
 
   const SerializationGraph global = MergeLocalGraphs(locals);
-  report.fully_serializable = !global.HasCycle();
-
   RegularCycleDetector detector(global);
+  report.fully_serializable = detector.acyclic();
   report.has_regular_cycle = detector.HasRegularCycle();
   report.regular_pivots = detector.pivots();
   if (report.has_regular_cycle) {

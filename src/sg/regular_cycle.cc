@@ -2,11 +2,102 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace o2pc::sg {
+
+namespace {
+
+/// The global SG over dense indices in NodeRef order, as CSR arcs that
+/// point at each edge's site set (the graph must outlive it).
+struct IndexedGraph {
+  struct Arc {
+    std::size_t to;
+    const std::set<SiteId>* sites;
+  };
+
+  explicit IndexedGraph(const SerializationGraph& global)
+      : nodes(global.nodes().begin(), global.nodes().end()),
+        first(nodes.size() + 1, 0) {
+    std::size_t filled = 0;
+    for (const auto& [from, targets] : global.adjacency()) {
+      const std::size_t v = IndexOf(from);
+      while (filled <= v) first[filled++] = arcs.size();
+      for (const auto& [to, edge_sites] : targets) {
+        arcs.push_back({IndexOf(to), &edge_sites});
+      }
+    }
+    while (filled <= nodes.size()) first[filled++] = arcs.size();
+  }
+
+  std::size_t IndexOf(const NodeRef& node) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(nodes.begin(), nodes.end(), node) - nodes.begin());
+  }
+
+  std::span<const Arc> ArcsOf(std::size_t v) const {
+    return {arcs.data() + first[v], arcs.data() + first[v + 1]};
+  }
+
+  std::vector<NodeRef> nodes;
+  std::vector<std::size_t> first;  // arcs of v: [first[v], first[v + 1])
+  std::vector<Arc> arcs;
+};
+
+/// Iterative Tarjan: the SCC id of every node.
+std::vector<int> StronglyConnectedComponents(const IndexedGraph& graph) {
+  constexpr int kUnset = -1;
+  const std::size_t n = graph.nodes.size();
+  std::vector<int> order(n, kUnset);
+  std::vector<int> low(n, 0);
+  std::vector<int> component(n, kUnset);
+  std::vector<std::size_t> stack;
+  std::vector<std::pair<std::size_t, std::size_t>> calls;  // node, next arc
+  int next_order = 0;
+  int next_component = 0;
+  for (std::size_t root = 0; root < n; ++root) {
+    if (order[root] != kUnset) continue;
+    order[root] = low[root] = next_order++;
+    stack.push_back(root);
+    calls.push_back({root, graph.first[root]});
+    while (!calls.empty()) {
+      const std::size_t v = calls.back().first;
+      std::size_t& arc = calls.back().second;
+      if (arc < graph.first[v + 1]) {
+        const std::size_t w = graph.arcs[arc++].to;
+        if (order[w] == kUnset) {
+          order[w] = low[w] = next_order++;
+          stack.push_back(w);
+          calls.push_back({w, graph.first[w]});
+        } else if (component[w] == kUnset) {  // still on the stack
+          low[v] = std::min(low[v], order[w]);
+        }
+        continue;
+      }
+      if (low[v] == order[v]) {
+        std::size_t w;
+        do {
+          w = stack.back();
+          stack.pop_back();
+          component[w] = next_component;
+        } while (w != v);
+        ++next_component;
+      }
+      calls.pop_back();
+      if (!calls.empty()) {
+        const std::size_t parent = calls.back().first;
+        low[parent] = std::min(low[parent], low[v]);
+      }
+    }
+  }
+  return component;
+}
+
+}  // namespace
 
 std::string RegularCycleWitness::ToString() const {
   std::vector<std::string> names;
@@ -24,7 +115,6 @@ RegularCycleDetector::RegularCycleDetector(const SerializationGraph& global,
                                            Options options)
     : options_(options) {
   BuildReduced(global);
-  ComputeScc();
   FindPivots();
 }
 
@@ -35,107 +125,54 @@ bool RegularCycleDetector::HasDirectEdge(const NodeRef& from,
 }
 
 void RegularCycleDetector::BuildReduced(const SerializationGraph& global) {
-  for (const NodeRef& node : global.nodes()) {
-    if (node.kind != TxnKind::kLocal) global_nodes_.insert(node);
+  const IndexedGraph graph(global);
+  const std::vector<int> component = StronglyConnectedComponents(graph);
+  std::vector<int> component_size(component.size(), 0);
+  for (int id : component) {
+    if (++component_size[id] > 1) acyclic_ = false;
   }
 
-  // Collect the sites that label any edge.
-  std::set<SiteId> sites;
-  for (const auto& [from, targets] : global.adjacency()) {
-    (void)from;
-    for (const auto& [to, edge_sites] : targets) {
-      (void)to;
-      sites.insert(edge_sites.begin(), edge_sites.end());
-    }
-  }
-
-  // Per site: restrict to that site's edges and BFS from each global node.
-  for (SiteId site : sites) {
-    std::map<NodeRef, std::vector<NodeRef>> site_adj;
-    for (const auto& [from, targets] : global.adjacency()) {
-      for (const auto& [to, edge_sites] : targets) {
-        if (edge_sites.contains(site)) site_adj[from].push_back(to);
+  // Per-site closure from each global node of a cyclic SCC, walking only
+  // arcs that stay inside it (every path between two of its nodes does).
+  const std::size_t n = graph.nodes.size();
+  std::vector<std::size_t> visited(n, 0);  // stamped per search
+  std::size_t stamp = 0;
+  std::vector<std::size_t> pending;
+  for (std::size_t start = 0; start < n; ++start) {
+    const NodeRef& from = graph.nodes[start];
+    if (from.kind == TxnKind::kLocal) continue;
+    const int id = component[start];
+    scc_[from] = id;
+    if (component_size[id] == 1) continue;
+    std::set<SiteId> sites;
+    for (const IndexedGraph::Arc& arc : graph.ArcsOf(start)) {
+      if (component[arc.to] == id) {
+        sites.insert(arc.sites->begin(), arc.sites->end());
       }
     }
-    for (const NodeRef& start : global_nodes_) {
-      if (!site_adj.contains(start)) continue;
-      std::set<NodeRef> visited{start};
-      std::deque<NodeRef> frontier{start};
-      while (!frontier.empty()) {
-        NodeRef node = frontier.front();
-        frontier.pop_front();
-        auto it = site_adj.find(node);
-        if (it == site_adj.end()) continue;
-        for (const NodeRef& next : it->second) {
-          if (!visited.insert(next).second) continue;
-          if (next.kind != TxnKind::kLocal && next != start) {
-            reduced_[start][next].insert(site);
+    for (SiteId site : sites) {
+      visited[start] = ++stamp;
+      pending.assign(1, start);
+      while (!pending.empty()) {
+        const std::size_t v = pending.back();
+        pending.pop_back();
+        for (const IndexedGraph::Arc& arc : graph.ArcsOf(v)) {
+          if (component[arc.to] != id || visited[arc.to] == stamp ||
+              !arc.sites->contains(site)) {
+            continue;
           }
-          frontier.push_back(next);
+          visited[arc.to] = stamp;
+          const NodeRef& to = graph.nodes[arc.to];
+          if (to.kind != TxnKind::kLocal) reduced_[from][to].insert(site);
+          pending.push_back(arc.to);
         }
       }
     }
   }
 }
 
-void RegularCycleDetector::ComputeScc() {
-  // Kosaraju: finish-order DFS on the reduced graph, then assign components
-  // on the reverse graph.
-  std::map<NodeRef, std::vector<NodeRef>> fwd;
-  std::map<NodeRef, std::vector<NodeRef>> rev;
-  for (const NodeRef& node : global_nodes_) {
-    fwd[node];
-    rev[node];
-  }
-  for (const auto& [from, targets] : reduced_) {
-    for (const auto& [to, edge_sites] : targets) {
-      (void)edge_sites;
-      fwd[from].push_back(to);
-      rev[to].push_back(from);
-    }
-  }
-
-  std::vector<NodeRef> order;
-  std::set<NodeRef> visited;
-  for (const auto& [start, adj] : fwd) {
-    (void)adj;
-    if (visited.contains(start)) continue;
-    // Iterative post-order DFS.
-    std::vector<std::pair<NodeRef, std::size_t>> stack{{start, 0}};
-    visited.insert(start);
-    while (!stack.empty()) {
-      auto& [node, idx] = stack.back();
-      const std::vector<NodeRef>& adj_list = fwd[node];
-      if (idx < adj_list.size()) {
-        NodeRef next = adj_list[idx++];
-        if (visited.insert(next).second) stack.push_back({next, 0});
-      } else {
-        order.push_back(node);
-        stack.pop_back();
-      }
-    }
-  }
-
-  int component = 0;
-  std::set<NodeRef> assigned;
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    if (assigned.contains(*it)) continue;
-    std::deque<NodeRef> frontier{*it};
-    assigned.insert(*it);
-    while (!frontier.empty()) {
-      NodeRef node = frontier.front();
-      frontier.pop_front();
-      scc_[node] = component;
-      for (const NodeRef& prev : rev[node]) {
-        if (assigned.insert(prev).second) frontier.push_back(prev);
-      }
-    }
-    ++component;
-  }
-}
-
 void RegularCycleDetector::FindPivots() {
-  // Concrete in-edges per node, restricted to same-SCC sources.
+  // Concrete in-edges per node (every reduced edge is intra-SCC).
   struct End {
     NodeRef node;
     SiteId site;
@@ -143,20 +180,16 @@ void RegularCycleDetector::FindPivots() {
   std::map<NodeRef, std::vector<End>> in_edges;
   for (const auto& [from, targets] : reduced_) {
     for (const auto& [to, edge_sites] : targets) {
-      if (scc_.at(from) != scc_.at(to)) continue;
       for (SiteId site : edge_sites) in_edges[to].push_back({from, site});
     }
   }
-  for (const NodeRef& node : global_nodes_) {
+  for (const auto& [node, outs] : reduced_) {
     if (node.kind != TxnKind::kGlobal) continue;  // pivots are regular
     auto in_it = in_edges.find(node);
     if (in_it == in_edges.end()) continue;
-    auto out_it = reduced_.find(node);
-    if (out_it == reduced_.end()) continue;
     bool is_pivot = false;
     for (const End& in : in_it->second) {
-      for (const auto& [to, edge_sites] : out_it->second) {
-        if (scc_.at(node) != scc_.at(to)) continue;
+      for (const auto& [to, edge_sites] : outs) {
         for (SiteId out_site : edge_sites) {
           if (in.site == out_site) continue;
           // A one-segment bypass between the neighbours shortcuts the
@@ -179,7 +212,6 @@ void RegularCycleDetector::FindPivots() {
 
 std::optional<RegularCycleWitness> RegularCycleDetector::FindWitness() const {
   for (const NodeRef& pivot : pivots_) {
-    const int component = scc_.at(pivot);
     // Concrete in/out edges with differing sites.
     struct End {
       NodeRef node;
@@ -189,10 +221,10 @@ std::optional<RegularCycleWitness> RegularCycleDetector::FindWitness() const {
     std::vector<End> outs;
     for (const auto& [from, targets] : reduced_) {
       for (const auto& [to, edge_sites] : targets) {
-        if (to == pivot && scc_.at(from) == component) {
+        if (to == pivot) {
           for (SiteId s : edge_sites) ins.push_back({from, s});
         }
-        if (from == pivot && scc_.at(to) == component) {
+        if (from == pivot) {
           for (SiteId s : edge_sites) outs.push_back({to, s});
         }
       }

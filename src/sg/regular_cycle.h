@@ -18,9 +18,9 @@
 /// representations only switch sites at compensating transactions are
 /// benign and allowed by the correctness criterion.
 ///
-/// Algorithm. First build the *reduced multigraph* over global nodes
-/// (T's and CT's): an edge A --s--> B exists iff B is reachable from A
-/// inside site s's local SG (through any intermediate nodes). A segment
+/// Algorithm. Conceptually, build the *reduced multigraph* over global
+/// nodes (T's and CT's): an edge A --s--> B exists iff B is reachable from
+/// A inside site s's local SG (through any intermediate nodes). A segment
 /// endpoint of a minimal representation is always a point where the cycle
 /// switches sites (same-site adjacent segments merge, which is exactly how
 /// the paper's Example 1 drops the interior T_2). Hence:
@@ -29,15 +29,31 @@
 ///   the reduced multigraph with its entering segment at site s1 and its
 ///   leaving segment at site s2, s1 != s2.
 ///
-/// With SCCs of the reduced graph this becomes: T is a *pivot* iff it has
-/// an in-edge (X --s1--> T) and an out-edge (T --s2--> Y) with s1 != s2,
-/// X and Y in T's strongly connected component, **and no single-site
-/// closure edge X --s--> Y exists** — if one does, re-routing through it
-/// costs one segment where the route through T costs two, so every minimal
-/// representation drops T (this is exactly the paper's Example 1, where
-/// the direct SG2 segment CT1 => CT3 shortcuts the interior T2). When no
-/// one-segment bypass exists, the route through T is minimal (possibly
-/// tied) and T appears on a minimal representation.
+/// Only edges inside one strongly connected component can lie on a cycle,
+/// so the detector first runs one Tarjan pass over the whole global SG
+/// (locals included) and materializes the per-site closure only between
+/// global nodes of the same non-trivial SCC, following only edges whose
+/// two ends are in that SCC. This loses nothing:
+///
+///   * A local transaction touches one site, so every edge into or out of
+///     a local carries that site; a path changes site only at a global
+///     node, and any global-SG path between global nodes splits into
+///     reduced edges. The SCCs of the reduced graph are therefore the
+///     global SG's SCCs restricted to global nodes.
+///   * Every path between two nodes of one SCC stays inside that SCC, so
+///     the intra-SCC closure edges are exactly those of the full closure.
+///
+/// On a near-serial history every SCC is a single node and the closure is
+/// never built; the full closure would have O(N^2) entries.
+///
+/// T is a *pivot* iff it has an in-edge (X --s1--> T) and an out-edge
+/// (T --s2--> Y) with s1 != s2 (X and Y are in T's SCC by construction),
+/// **and no single-site closure edge X --s--> Y exists** — if one does,
+/// re-routing through it costs one segment where the route through T costs
+/// two, so every minimal representation drops T (this is exactly the
+/// paper's Example 1, where the direct SG2 segment CT1 => CT3 shortcuts
+/// the interior T2). When no one-segment bypass exists, the route through
+/// T is minimal (possibly tied) and T appears on a minimal representation.
 ///
 /// The bypass test examines single closure edges only; in rare tie
 /// configurations where a two-segment bypass merges with neighbouring
@@ -69,7 +85,7 @@ class RegularCycleDetector {
     bool drop_bypassable_pivots = true;
   };
 
-  /// Builds the reduced multigraph and its SCCs from a global SG.
+  /// Computes the global SG's SCCs and the intra-SCC reduced multigraph.
   explicit RegularCycleDetector(const SerializationGraph& global);
   RegularCycleDetector(const SerializationGraph& global, Options options);
 
@@ -82,24 +98,30 @@ class RegularCycleDetector {
   /// Materializes one witness cycle, if any exist.
   std::optional<RegularCycleWitness> FindWitness() const;
 
-  /// The reduced multigraph: A -> (B -> sites with a local path A=>B).
+  /// True iff every SCC of the global SG is a single node: the global SG
+  /// is acyclic outright (SerializationGraph never stores self-edges).
+  bool acyclic() const { return acyclic_; }
+
+  /// The intra-SCC reduced multigraph: A -> (B -> sites with a local path
+  /// A=>B), only for global nodes A and B in the same non-trivial SCC of
+  /// the global SG — the only closure edges that can lie on a cycle.
   using Reduced = std::map<NodeRef, std::map<NodeRef, std::set<SiteId>>>;
   const Reduced& reduced() const { return reduced_; }
 
-  /// SCC index of each reduced-graph node.
+  /// Global-SG SCC index of each global node (T or CT); nodes share an
+  /// index iff they lie on a common cycle.
   const std::map<NodeRef, int>& scc() const { return scc_; }
 
  private:
   void BuildReduced(const SerializationGraph& global);
-  void ComputeScc();
   void FindPivots();
   /// True if a single-site closure edge X -> Y exists (any site).
   bool HasDirectEdge(const NodeRef& from, const NodeRef& to) const;
 
   Options options_;
   Reduced reduced_;
-  std::set<NodeRef> global_nodes_;
   std::map<NodeRef, int> scc_;
+  bool acyclic_ = true;
   std::vector<NodeRef> pivots_;
 };
 

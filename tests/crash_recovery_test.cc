@@ -11,6 +11,7 @@
 #include "core/system.h"
 #include "local/local_db.h"
 #include "sim/simulator.h"
+#include "workload/generator.h"
 #include "workload/scenarios.h"
 
 namespace o2pc {
@@ -243,6 +244,57 @@ TEST(SystemCrashTest, TwoPcPreparedSurvivesCrashAndCommits) {
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.committed);
   EXPECT_EQ(system.db(0).table().Get(1)->value, 900);
+}
+
+// A crash empties the lock table but not the site's LockStats: summed
+// counters only ever grow, so a crash run's lock figures cover the whole
+// run rather than restarting at the last crash.
+TEST(SystemCrashTest, LockStatsNeverGoDownAcrossACrash) {
+  core::SystemOptions options = CrashSystemOptions();
+  core::DistributedSystem system(options);
+  workload::WorkloadOptions load;
+  load.num_global_txns = 40;
+  load.num_local_txns = 40;
+  load.mean_global_interarrival = Millis(1);
+  load.mean_local_interarrival = Millis(1);
+  workload::WorkloadGenerator generator(options.num_sites,
+                                        options.keys_per_site, load);
+  generator.Drive(system);
+
+  struct Totals {
+    std::uint64_t acquires = 0;
+    std::uint64_t waits = 0;
+  };
+  auto summed = [&system, &options] {
+    Totals totals;
+    for (int s = 0; s < options.num_sites; ++s) {
+      const lock::LockStats& stats =
+          system.db(static_cast<SiteId>(s)).lock_manager().stats();
+      totals.acquires += stats.acquires;
+      totals.waits += stats.waits;
+    }
+    return totals;
+  };
+  std::vector<Totals> before_crash;
+  for (SimTime at : {Millis(20), Millis(70)}) {
+    system.simulator().ScheduleAt(at, [&] {
+      const Totals before = summed();
+      system.CrashSite(0, Millis(30));
+      const Totals after = summed();
+      EXPECT_GE(after.acquires, before.acquires);
+      EXPECT_GE(after.waits, before.waits);
+      before_crash.push_back(before);
+    });
+  }
+  system.Run();
+
+  ASSERT_EQ(before_crash.size(), 2u);
+  EXPECT_GT(before_crash[0].waits, 0u);  // contended before the first crash
+  EXPECT_GE(before_crash[1].acquires, before_crash[0].acquires);
+  EXPECT_GE(before_crash[1].waits, before_crash[0].waits);
+  EXPECT_GE(summed().acquires, before_crash[1].acquires);
+  EXPECT_GE(summed().waits, before_crash[1].waits);
+  EXPECT_EQ(system.stats().Count("site_crashes"), 2u);
 }
 
 TEST(SystemCrashTest, CrashDuringExecutionRestartsAndCommits) {

@@ -4,10 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/system.h"
 #include "sg/conflict_tracker.h"
 #include "sg/correctness.h"
 #include "sg/regular_cycle.h"
 #include "sg/serialization_graph.h"
+#include "sg_reference_detector.h"
+#include "workload/generator.h"
 
 namespace o2pc::sg {
 namespace {
@@ -135,7 +143,9 @@ TEST(RegularCycleTest, ExampleOne_InteriorRegularNotIncluded) {
   EXPECT_FALSE(detector.HasRegularCycle())
       << "T2 is interior to a single-site segment and must be dropped by "
          "the minimal representation";
-  // The reduced graph has the direct closure edge CT1 -> CT3 at site 2.
+  // The reduced graph has the direct closure edge CT1 -> CT3 at site 2;
+  // both ends lie in the one cyclic SCC, so it is materialized.
+  EXPECT_FALSE(detector.acyclic());
   EXPECT_TRUE(detector.reduced().at(CompNode(1)).contains(CompNode(3)));
 }
 
@@ -180,6 +190,9 @@ TEST(RegularCycleTest, AcyclicGraphHasNoPivots) {
   RegularCycleDetector detector(global);
   EXPECT_FALSE(detector.HasRegularCycle());
   EXPECT_FALSE(detector.FindWitness().has_value());
+  // Every SCC is a single node, so no closure edge is materialized.
+  EXPECT_TRUE(detector.acyclic());
+  EXPECT_TRUE(detector.reduced().empty());
 }
 
 TEST(RegularCycleTest, WitnessDescribesTheCycle) {
@@ -192,6 +205,183 @@ TEST(RegularCycleTest, WitnessDescribesTheCycle) {
   const std::string text = witness->ToString();
   EXPECT_NE(text.find("T2"), std::string::npos);
   EXPECT_NE(text.find("CT1"), std::string::npos);
+}
+
+// --- SCC-first detection against the full-closure reference model --------
+
+// A random global SG over `sites` sites: regular globals, some of their
+// CTs, and locals bound to one site each (so every edge touching a local
+// carries that local's site). Dense enough to form non-trivial SCCs.
+SerializationGraph RandomMultiSiteSg(std::uint64_t seed) {
+  Rng rng(seed);
+  const int sites = static_cast<int>(rng.Uniform(2, 4));
+  std::vector<NodeRef> nodes;
+  std::map<NodeRef, SiteId> local_site;
+  const int globals = static_cast<int>(rng.Uniform(3, 10));
+  for (TxnId id = 1; id <= static_cast<TxnId>(globals); ++id) {
+    nodes.push_back(GlobalNode(id));
+    if (rng.Bernoulli(0.4)) nodes.push_back(CompNode(id));
+  }
+  const int locals = static_cast<int>(rng.Uniform(0, 8));
+  for (TxnId id = 100; id < 100 + static_cast<TxnId>(locals); ++id) {
+    nodes.push_back(LocalNode(id));
+    local_site[LocalNode(id)] = static_cast<SiteId>(rng.Uniform(0, sites - 1));
+  }
+  const int last = static_cast<int>(nodes.size()) - 1;
+  const int edges = static_cast<int>(nodes.size() * rng.Uniform(1, 3));
+  SerializationGraph graph;
+  for (int i = 0; i < edges; ++i) {
+    const NodeRef from = nodes[rng.Uniform(0, last)];
+    const NodeRef to = nodes[rng.Uniform(0, last)];
+    SiteId site = static_cast<SiteId>(rng.Uniform(0, sites - 1));
+    if (from.kind == TxnKind::kLocal) site = local_site.at(from);
+    if (to.kind == TxnKind::kLocal) {
+      if (from.kind == TxnKind::kLocal && local_site.at(to) != site) continue;
+      site = local_site.at(to);
+    }
+    graph.AddEdge(from, to, site);
+  }
+  return graph;
+}
+
+// Everything the detector reports must equal the reference model's
+// output, and its intra-SCC closure must be exactly the reference
+// closure's same-component edges.
+void ExpectMatchesReference(const SerializationGraph& global,
+                            RegularCycleDetector::Options options) {
+  const RegularCycleDetector detector(global, options);
+  const testing::ReferenceRegularCycleDetector reference(global, options);
+  EXPECT_EQ(detector.acyclic(), !global.HasCycle());
+  EXPECT_EQ(detector.pivots(), reference.pivots());
+  EXPECT_EQ(detector.HasRegularCycle(), reference.HasRegularCycle());
+  const auto witness = detector.FindWitness();
+  const auto reference_witness = reference.FindWitness();
+  ASSERT_EQ(witness.has_value(), reference_witness.has_value());
+  if (witness.has_value()) {
+    EXPECT_EQ(witness->ToString(), reference_witness->ToString());
+  }
+  RegularCycleDetector::Reduced intra_scc;
+  for (const auto& [from, targets] : reference.reduced()) {
+    for (const auto& [to, sites] : targets) {
+      if (reference.scc().at(from) == reference.scc().at(to)) {
+        intra_scc[from][to] = sites;
+      }
+    }
+  }
+  EXPECT_EQ(detector.reduced(), intra_scc);
+}
+
+TEST(RegularCyclePropertyTest, MatchesFullClosureReferenceOnRandomGraphs) {
+  int regular = 0;
+  int cyclic_without_regular = 0;
+  int acyclic = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const SerializationGraph global = RandomMultiSiteSg(seed);
+    for (bool drop : {true, false}) {
+      ExpectMatchesReference(global, {.drop_bypassable_pivots = drop});
+    }
+    const RegularCycleDetector detector(global);
+    if (detector.HasRegularCycle()) {
+      ++regular;
+    } else if (!detector.acyclic()) {
+      ++cyclic_without_regular;
+    } else {
+      ++acyclic;
+    }
+  }
+  // The generator must reach every verdict, or the comparison shows little.
+  EXPECT_GT(regular, 50);
+  EXPECT_GT(cyclic_without_regular, 20);
+  EXPECT_GT(acyclic, 20);
+}
+
+TEST(RegularCyclePropertyTest, AnalyzeHistoryMatchesReferenceOnTrackers) {
+  int serializable = 0;
+  int not_serializable = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const int sites = static_cast<int>(rng.Uniform(2, 4));
+    std::vector<std::unique_ptr<ConflictTracker>> trackers;
+    std::vector<const ConflictTracker*> views;
+    for (int s = 0; s < sites; ++s) {
+      trackers.push_back(
+          std::make_unique<ConflictTracker>(static_cast<SiteId>(s)));
+      views.push_back(trackers.back().get());
+    }
+    const int accesses = static_cast<int>(rng.Uniform(10, 60));
+    for (int i = 0; i < accesses; ++i) {
+      ConflictTracker& tracker = *trackers[rng.Uniform(0, sites - 1)];
+      const TxnId id = static_cast<TxnId>(rng.Uniform(1, 8));
+      NodeRef node = rng.Bernoulli(0.25) ? CompNode(id) : GlobalNode(id);
+      if (rng.Bernoulli(0.2)) {
+        // Local ids are per-site, like LocalDb's.
+        node = LocalNode(100 * (tracker.site() + 1) + id);
+        tracker.MarkLocalCommitted(node.id);
+      }
+      tracker.RecordAccess(node, static_cast<DataKey>(rng.Uniform(0, 5)),
+                           rng.Bernoulli(0.5));
+    }
+    const CorrectnessReport report = AnalyzeHistory(views);
+    std::vector<SerializationGraph> locals;
+    for (const ConflictTracker* tracker : views) {
+      locals.push_back(tracker->BuildGraph());
+    }
+    const SerializationGraph global = MergeLocalGraphs(locals);
+    EXPECT_EQ(report.fully_serializable, !global.HasCycle());
+    ++(report.fully_serializable ? serializable : not_serializable);
+    const testing::ReferenceRegularCycleDetector reference(
+        global, RegularCycleDetector::Options{});
+    EXPECT_EQ(report.regular_pivots, reference.pivots());
+    EXPECT_EQ(report.has_regular_cycle, reference.HasRegularCycle());
+    const auto reference_witness = reference.FindWitness();
+    ASSERT_EQ(report.witness.has_value(), reference_witness.has_value());
+    if (report.witness.has_value()) {
+      EXPECT_EQ(report.witness->ToString(), reference_witness->ToString());
+    }
+  }
+  EXPECT_GT(serializable, 20);
+  EXPECT_GT(not_serializable, 20);
+}
+
+// Deterministic scale guard: a generated 2PC history of ~300 globals on
+// 100k keys per site is near-serial, so its global SG has only singleton
+// SCCs and the detector materializes no closure edge at all (the full
+// closure would have O(N^2) entries here).
+TEST(RegularCycleScaleTest, NearSerialTwoPhaseCommitHistoryBuildsNoClosure) {
+  core::SystemOptions options;
+  options.keys_per_site = 100000;
+  options.protocol.protocol = core::CommitProtocol::kTwoPhaseCommit;
+  workload::WorkloadOptions load;
+  load.num_global_txns = 300;
+  load.min_sites_per_txn = 2;
+  load.max_sites_per_txn = 2;
+  load.vote_abort_probability = 0.2;
+  load.mean_global_interarrival = Millis(8);
+  load.mean_local_interarrival = Millis(4);
+  core::DistributedSystem system(options);
+  workload::WorkloadGenerator generator(options.num_sites,
+                                        options.keys_per_site, load);
+  generator.Drive(system);
+  system.Run();
+
+  std::vector<SerializationGraph> locals;
+  for (int s = 0; s < options.num_sites; ++s) {
+    locals.push_back(
+        system.db(static_cast<SiteId>(s)).tracker().BuildGraph());
+  }
+  const SerializationGraph global = MergeLocalGraphs(locals);
+  std::size_t global_nodes = 0;
+  for (const NodeRef& node : global.nodes()) {
+    if (node.kind != TxnKind::kLocal) ++global_nodes;
+  }
+  EXPECT_GE(global_nodes, 300u);
+  EXPECT_GT(global.edge_count(), 0u);
+  const RegularCycleDetector detector(global);
+  EXPECT_TRUE(detector.acyclic());
+  EXPECT_TRUE(detector.reduced().empty());
+  EXPECT_TRUE(detector.pivots().empty());
 }
 
 // --- ConflictTracker -----------------------------------------------------
